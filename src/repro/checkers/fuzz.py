@@ -14,6 +14,10 @@ mid-operation, delay a hot loop, fail a CAS spuriously — and the
 pending-aware checkers still deliver verdicts for the survivors.
 Failures are greedily shrunk (:func:`shrink_failure`): drop faults and
 truncate the schedule while the failure persists.
+
+There is one campaign loop, :func:`fuzz_runs`, parameterised by a
+:class:`~repro.checkers.family.CheckerFamily`; :func:`fuzz_cal` and
+:func:`fuzz_linearizability` are entry points binding a family.
 """
 
 from __future__ import annotations
@@ -22,13 +26,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.checkers.cal import CALChecker
 from repro.checkers.caspec import CASpec
-from repro.checkers.linearizability import LinearizabilityChecker
+from repro.checkers.family import CAL, LIN, CheckerFamily
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import ViewFn, _validate_singleton_witness
+from repro.checkers.verify import (
+    ViewFn,
+    _campaign_local,
+    _close_observers,
+    _merge_snapshot,
+)
 from repro.core.history import History
+from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics, observe_run
+from repro.obs.provenance import ExplorationLedger
 from repro.obs.report import CounterexampleReport
 from repro.substrate.explore import SetupFn, run_random, run_schedule
 from repro.substrate.faults import FaultCampaign, FaultPlan
@@ -49,60 +59,6 @@ Provenance = Optional[Dict[str, Any]]
 GUIDANCE_MODES = ("uniform", "greybox")
 
 
-def _merge_stats(mine: Stats, theirs: Stats) -> Stats:
-    """Merge two :meth:`Metrics.snapshot` dicts (either may be None)."""
-    if theirs is None:
-        return mine
-    if mine is None:
-        return Metrics.from_snapshot(theirs).snapshot()
-    return Metrics.from_snapshot(mine).merge(Metrics.from_snapshot(theirs)).snapshot()
-
-
-def _merge_coverage(mine: Coverage, theirs: Coverage) -> Coverage:
-    """Merge two :meth:`CoverageTracker.snapshot` dicts (either may be None)."""
-    from repro.obs.coverage import CoverageTracker
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return CoverageTracker.from_snapshot(theirs).snapshot()
-    return (
-        CoverageTracker.from_snapshot(mine)
-        .merge(CoverageTracker.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
-def _merge_corpus(mine: Corpus, theirs: Corpus) -> Corpus:
-    """Merge two :meth:`ScheduleCorpus.snapshot` lists (either may be None)."""
-    from repro.search.corpus import ScheduleCorpus
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return ScheduleCorpus.from_snapshot(theirs).snapshot()
-    return (
-        ScheduleCorpus.from_snapshot(mine)
-        .merge(ScheduleCorpus.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
-def _merge_provenance(mine: Provenance, theirs: Provenance) -> Provenance:
-    """Merge two :meth:`ExplorationLedger.snapshot` dicts (either may be None)."""
-    from repro.obs.provenance import ExplorationLedger
-
-    if theirs is None:
-        return mine
-    if mine is None:
-        return ExplorationLedger.from_snapshot(theirs).snapshot()
-    return (
-        ExplorationLedger.from_snapshot(mine)
-        .merge(ExplorationLedger.from_snapshot(theirs))
-        .snapshot()
-    )
-
-
 def _engine_for(guidance: str, corpus, ledger=None):
     """Build the greybox engine for a campaign (None under uniform)."""
     if guidance not in GUIDANCE_MODES:
@@ -119,25 +75,6 @@ def _engine_for(guidance: str, corpus, ledger=None):
     elif not hasattr(corpus, "pick"):  # a snapshot list, not a corpus
         corpus = ScheduleCorpus.from_snapshot(corpus)
     return GreyboxEngine(corpus=corpus, ledger=ledger)
-
-
-def _campaign_registry(metrics) -> Optional[Metrics]:
-    """A fresh campaign-local registry of the caller's registry class.
-
-    Instantiating ``type(metrics)`` (not plain :class:`Metrics`) keeps
-    profiling registries (:class:`~repro.obs.profile.SearchProfiler`)
-    working end-to-end: the campaign-local instance the checkers see
-    carries the same hooks as the caller's.
-    """
-    return type(metrics)() if metrics is not None else None
-
-
-def _campaign_ledger(provenance):
-    """A fresh campaign-local provenance ledger (same discipline as
-    :func:`_campaign_registry`): the campaign records into its own
-    instance, exposes the snapshot as ``report.provenance``, and merges
-    into the caller's ledger on the way out."""
-    return type(provenance)() if provenance is not None else None
 
 
 @dataclass
@@ -227,13 +164,19 @@ class FuzzReport:
         self.reports.extend(other.reports)
         self.quarantined.extend(other.quarantined)
         self.fresh_schedules.extend(other.fresh_schedules)
-        self.stats = _merge_stats(self.stats, other.stats)
-        self.coverage = _merge_coverage(self.coverage, other.coverage)
+        from repro.search.corpus import ScheduleCorpus
+
+        self.stats = _merge_snapshot(Metrics, self.stats, other.stats)
+        self.coverage = _merge_snapshot(
+            CoverageTracker, self.coverage, other.coverage
+        )
         # getattr: reports unpickled from pre-corpus campaign stores
         # restore without the attribute.
-        self.corpus = _merge_corpus(self.corpus, getattr(other, "corpus", None))
-        self.provenance = _merge_provenance(
-            self.provenance, getattr(other, "provenance", None)
+        self.corpus = _merge_snapshot(
+            ScheduleCorpus, self.corpus, getattr(other, "corpus", None)
+        )
+        self.provenance = _merge_snapshot(
+            ExplorationLedger, self.provenance, getattr(other, "provenance", None)
         )
 
     def __repr__(self) -> str:
@@ -391,6 +334,181 @@ def shrink_failure(
     return best
 
 
+def fuzz_runs(
+    family: CheckerFamily,
+    setup: SetupFn,
+    spec,
+    *,
+    check_witness: bool,
+    search: bool,
+    seeds: Sequence[int] = range(50),
+    max_steps: Optional[int] = 5000,
+    view: Optional[ViewFn] = None,
+    yield_bias: float = 0.0,
+    faults: Faults = None,
+    node_budget: Optional[int] = None,
+    shrink: bool = True,
+    deadline_at: Optional[float] = None,
+    metrics=None,
+    trace=None,
+    coverage=None,
+    progress_every: int = 0,
+    dedup=None,
+    guidance: str = "uniform",
+    corpus=None,
+    provenance=None,
+) -> FuzzReport:
+    """The seeded-fuzz loop, shared by every checker family.
+
+    Runs one seeded schedule per entry of ``seeds`` and checks each
+    completed run with ``family.checker(spec)`` — witness validation
+    and/or search, as :func:`fuzz_cal` describes.
+    """
+    checker = family.checker(spec)
+    report = FuzzReport()
+    campaign = _campaign_local(metrics)
+    audit = _campaign_local(provenance)
+    engine = _engine_for(guidance, corpus, audit)
+    started = time.monotonic()
+
+    def diagnose(run: RunResult, stats=None, sink=None):
+        """(failure reason or None, budget-cut reason or None)."""
+        history = run.history
+        if check_witness:
+            recorded = view(run.trace) if view is not None else run.trace
+            witness = recorded.project_object(spec.oid)
+            result = checker.check_witness(history, witness, metrics=stats)
+            if not result.ok:
+                return result.reason, None
+        if search:
+            result = checker.check(
+                history, node_budget=node_budget, metrics=stats, trace=sink
+            )
+            if result.unknown:
+                return None, result.reason
+            if not result.ok:
+                return result.reason, None
+        return None, None
+
+    if trace is not None:
+        trace.emit(
+            "campaign_begin",
+            driver=family.fuzz_driver,
+            seeds=len(seeds),
+            faults=faults is not None,
+        )
+    for position, seed in enumerate(seeds):
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            skipped = len(seeds) - position
+            report.skipped += skipped
+            if campaign is not None:
+                campaign.count("fuzz.skipped", skipped)
+            if trace is not None:
+                trace.emit("campaign_deadline", skipped=skipped)
+            break
+        run, plan = _fuzz_run(setup, seed, max_steps, yield_bias, faults, engine)
+        if engine is not None:
+            engine.observe(position, run, oid=spec.oid)
+        if campaign is not None:
+            campaign.count("fuzz.seeds")
+            observe_run(campaign, run)
+        if coverage is not None:
+            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
+            if run.completed:
+                recorded = view(run.trace) if view is not None else run.trace
+                coverage.observe_spec_trace(
+                    spec, recorded.project_object(spec.oid)
+                )
+        if trace is not None and progress_every and (position + 1) % progress_every == 0:
+            live = {}
+            if coverage is not None:
+                live["distinct_histories"] = len(coverage.histories)
+            if engine is not None:
+                live.update(engine.stats())
+            trace.emit(
+                "campaign_progress",
+                driver=family.fuzz_driver,
+                attempted=position + 1,
+                total=len(seeds),
+                runs=report.runs + (1 if run.completed else 0),
+                failures=len(report.failures),
+                unknown=report.unknown,
+                skipped=report.skipped,
+                elapsed_s=time.monotonic() - started,
+                **live,
+            )
+        if not run.completed:
+            report.incomplete += 1
+            if campaign is not None:
+                campaign.count("fuzz.incomplete")
+            continue
+        report.runs += 1
+        if run.crashed:
+            report.crashed += 1
+        digest = None
+        if dedup is not None and plan is None:
+            # Fault-free runs only: a fault plan changes the verdict, so
+            # schedules are only comparable across campaigns without one.
+            digest = dedup.digest(run.schedule)
+            if dedup.seen(digest):
+                report.deduped += 1
+                if campaign is not None:
+                    campaign.count("fuzz.deduped")
+                continue
+        reason, unknown_reason = diagnose(run, campaign, trace)
+        if unknown_reason is not None:
+            report.unknown += 1
+            if campaign is not None:
+                campaign.count("fuzz.unknown")
+            report.reports.append(
+                CounterexampleReport.build(
+                    run.history,
+                    unknown_reason,
+                    verdict="unknown",
+                    seed=seed,
+                    schedule=run.schedule,
+                    plan=plan,
+                    oid=spec.oid,
+                    max_steps=max_steps,
+                )
+            )
+        if reason is not None:
+            if engine is not None:
+                engine.record_failure(run)
+            failure = FuzzFailure(seed, run.history, reason, run.schedule, plan)
+            if shrink:
+                failure = shrink_failure(
+                    setup,
+                    failure,
+                    lambda r: diagnose(r)[0],
+                    max_steps=max_steps,
+                    metrics=campaign,
+                    trace=trace,
+                )
+            failure.report = CounterexampleReport.from_failure(
+                failure, oid=spec.oid, max_steps=max_steps
+            )
+            report.failures.append(failure)
+            report.reports.append(failure.report)
+            if campaign is not None:
+                campaign.count("fuzz.failures")
+        elif unknown_reason is None and digest is not None:
+            report.fresh_schedules.append(digest)
+    _close_observers(report, campaign, metrics, coverage, audit, provenance)
+    if engine is not None:
+        report.corpus = engine.corpus.snapshot()
+    if trace is not None:
+        trace.emit(
+            "campaign_end",
+            driver=family.fuzz_driver,
+            runs=report.runs,
+            failures=len(report.failures),
+            unknown=report.unknown,
+            skipped=report.skipped,
+        )
+    return report
+
+
 def fuzz_cal(
     setup: SetupFn,
     spec: CASpec,
@@ -464,156 +582,8 @@ def fuzz_cal(
     it.  The campaign's own snapshot lands in ``report.provenance`` and
     merges into the caller's ledger, mirroring ``metrics``.
     """
-    checker = CALChecker(spec)
-    report = FuzzReport()
-    campaign = _campaign_registry(metrics)
-    audit = _campaign_ledger(provenance)
-    engine = _engine_for(guidance, corpus, audit)
-    started = time.monotonic()
-
-    def diagnose(run: RunResult, stats=None, sink=None):
-        """(failure reason or None, budget-cut reason or None)."""
-        history = run.history
-        if check_witness:
-            recorded = view(run.trace) if view is not None else run.trace
-            witness = recorded.project_object(spec.oid)
-            result = checker.check_witness(history, witness, metrics=stats)
-            if not result.ok:
-                return result.reason, None
-        if search:
-            result = checker.check(
-                history, node_budget=node_budget, metrics=stats, trace=sink
-            )
-            if result.unknown:
-                return None, result.reason
-            if not result.ok:
-                return result.reason, None
-        return None, None
-
-    if trace is not None:
-        trace.emit(
-            "campaign_begin",
-            driver="fuzz_cal",
-            seeds=len(seeds),
-            faults=faults is not None,
-        )
-    for position, seed in enumerate(seeds):
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            skipped = len(seeds) - position
-            report.skipped += skipped
-            if campaign is not None:
-                campaign.count("fuzz.skipped", skipped)
-            if trace is not None:
-                trace.emit("campaign_deadline", skipped=skipped)
-            break
-        run, plan = _fuzz_run(setup, seed, max_steps, yield_bias, faults, engine)
-        if engine is not None:
-            engine.observe(position, run, oid=spec.oid)
-        if campaign is not None:
-            campaign.count("fuzz.seeds")
-            observe_run(campaign, run)
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-            if run.completed:
-                recorded = view(run.trace) if view is not None else run.trace
-                coverage.observe_spec_trace(
-                    spec, recorded.project_object(spec.oid)
-                )
-        if trace is not None and progress_every and (position + 1) % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            if engine is not None:
-                live.update(engine.stats())
-            trace.emit(
-                "campaign_progress",
-                driver="fuzz_cal",
-                attempted=position + 1,
-                total=len(seeds),
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                skipped=report.skipped,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            if campaign is not None:
-                campaign.count("fuzz.incomplete")
-            continue
-        report.runs += 1
-        if run.crashed:
-            report.crashed += 1
-        digest = None
-        if dedup is not None and plan is None:
-            # Fault-free runs only: a fault plan changes the verdict, so
-            # schedules are only comparable across campaigns without one.
-            digest = dedup.digest(run.schedule)
-            if dedup.seen(digest):
-                report.deduped += 1
-                if campaign is not None:
-                    campaign.count("fuzz.deduped")
-                continue
-        reason, unknown_reason = diagnose(run, campaign, trace)
-        if unknown_reason is not None:
-            report.unknown += 1
-            if campaign is not None:
-                campaign.count("fuzz.unknown")
-            report.reports.append(
-                CounterexampleReport.build(
-                    run.history,
-                    unknown_reason,
-                    verdict="unknown",
-                    seed=seed,
-                    schedule=run.schedule,
-                    plan=plan,
-                    oid=spec.oid,
-                    max_steps=max_steps,
-                )
-            )
-        if reason is not None:
-            if engine is not None:
-                engine.record_failure(run)
-            failure = FuzzFailure(seed, run.history, reason, run.schedule, plan)
-            if shrink:
-                failure = shrink_failure(
-                    setup,
-                    failure,
-                    lambda r: diagnose(r)[0],
-                    max_steps=max_steps,
-                    metrics=campaign,
-                    trace=trace,
-                )
-            failure.report = CounterexampleReport.from_failure(
-                failure, oid=spec.oid, max_steps=max_steps
-            )
-            report.failures.append(failure)
-            report.reports.append(failure.report)
-            if campaign is not None:
-                campaign.count("fuzz.failures")
-        elif unknown_reason is None and digest is not None:
-            report.fresh_schedules.append(digest)
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if engine is not None:
-        report.corpus = engine.corpus.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "campaign_end",
-            driver="fuzz_cal",
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-            skipped=report.skipped,
-        )
-    return report
+    # The parameters, forwarded verbatim to the shared loop.
+    return fuzz_runs(CAL, **locals())
 
 
 def fuzz_linearizability(
@@ -639,154 +609,10 @@ def fuzz_linearizability(
 ) -> FuzzReport:
     """Sample random schedules and check linearizability on each run.
 
-    ``deadline_at``, ``metrics``/``trace``, ``coverage``,
+    Every run is searched; with ``check_witness`` its recorded trace
+    (viewed through ``view``) must also be a singleton linearization
+    witness.  ``deadline_at``, ``metrics``/``trace``, ``coverage``,
     ``progress_every``, ``dedup``, ``guidance``, ``corpus`` and
     ``provenance`` behave as in :func:`fuzz_cal`.
     """
-    checker = LinearizabilityChecker(spec)
-    report = FuzzReport()
-    campaign = _campaign_registry(metrics)
-    audit = _campaign_ledger(provenance)
-    engine = _engine_for(guidance, corpus, audit)
-    started = time.monotonic()
-
-    def diagnose(run: RunResult, stats=None, sink=None):
-        """(failure reason or None, budget-cut reason or None)."""
-        history = run.history
-        if check_witness:
-            recorded = view(run.trace) if view is not None else run.trace
-            witness = recorded.project_object(spec.oid)
-            problem = _validate_singleton_witness(checker, history, witness)
-            if problem is not None:
-                return problem, None
-        result = checker.check(
-            history, node_budget=node_budget, metrics=stats, trace=sink
-        )
-        if result.unknown:
-            return None, result.reason
-        if not result.ok:
-            return result.reason, None
-        return None, None
-
-    if trace is not None:
-        trace.emit(
-            "campaign_begin",
-            driver="fuzz_linearizability",
-            seeds=len(seeds),
-            faults=faults is not None,
-        )
-    for position, seed in enumerate(seeds):
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            skipped = len(seeds) - position
-            report.skipped += skipped
-            if campaign is not None:
-                campaign.count("fuzz.skipped", skipped)
-            if trace is not None:
-                trace.emit("campaign_deadline", skipped=skipped)
-            break
-        run, plan = _fuzz_run(setup, seed, max_steps, yield_bias, faults, engine)
-        if engine is not None:
-            engine.observe(position, run, oid=spec.oid)
-        if campaign is not None:
-            campaign.count("fuzz.seeds")
-            observe_run(campaign, run)
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-            if run.completed:
-                recorded = view(run.trace) if view is not None else run.trace
-                coverage.observe_spec_trace(
-                    spec, recorded.project_object(spec.oid)
-                )
-        if trace is not None and progress_every and (position + 1) % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            if engine is not None:
-                live.update(engine.stats())
-            trace.emit(
-                "campaign_progress",
-                driver="fuzz_linearizability",
-                attempted=position + 1,
-                total=len(seeds),
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                skipped=report.skipped,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            if campaign is not None:
-                campaign.count("fuzz.incomplete")
-            continue
-        report.runs += 1
-        if run.crashed:
-            report.crashed += 1
-        digest = None
-        if dedup is not None and plan is None:
-            digest = dedup.digest(run.schedule)
-            if dedup.seen(digest):
-                report.deduped += 1
-                if campaign is not None:
-                    campaign.count("fuzz.deduped")
-                continue
-        reason, unknown_reason = diagnose(run, campaign, trace)
-        if unknown_reason is not None:
-            report.unknown += 1
-            if campaign is not None:
-                campaign.count("fuzz.unknown")
-            report.reports.append(
-                CounterexampleReport.build(
-                    run.history,
-                    unknown_reason,
-                    verdict="unknown",
-                    seed=seed,
-                    schedule=run.schedule,
-                    plan=plan,
-                    oid=spec.oid,
-                    max_steps=max_steps,
-                )
-            )
-        if reason is not None:
-            if engine is not None:
-                engine.record_failure(run)
-            failure = FuzzFailure(seed, run.history, reason, run.schedule, plan)
-            if shrink:
-                failure = shrink_failure(
-                    setup,
-                    failure,
-                    lambda r: diagnose(r)[0],
-                    max_steps=max_steps,
-                    metrics=campaign,
-                    trace=trace,
-                )
-            failure.report = CounterexampleReport.from_failure(
-                failure, oid=spec.oid, max_steps=max_steps
-            )
-            report.failures.append(failure)
-            report.reports.append(failure.report)
-            if campaign is not None:
-                campaign.count("fuzz.failures")
-        elif unknown_reason is None and digest is not None:
-            report.fresh_schedules.append(digest)
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if engine is not None:
-        report.corpus = engine.corpus.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "campaign_end",
-            driver="fuzz_linearizability",
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-            skipped=report.skipped,
-        )
-    return report
+    return fuzz_runs(LIN, search=True, **locals())

@@ -265,3 +265,41 @@ class LinearizabilityChecker:
         from repro.core.agreement import agrees  # local import, no cycle
 
         return self.spec.accepts(order) and agrees(target, witness)
+
+    def check_witness(
+        self, history: History, trace: CATrace, metrics=None
+    ) -> CheckResult:
+        """Validate a recorded singleton trace as a linearization witness.
+
+        The trace must consist of singleton elements whose operation
+        sequence the sequential spec accepts, and the history must agree
+        with it (Def. 5).  Pending invocations (crashed threads) are
+        resolved against the witness first, exactly as in
+        :meth:`~repro.checkers.cal.CALChecker.check_witness`.  The check
+        is linear — it visits no search nodes — and records no counters;
+        ``metrics`` is accepted so the driver loops can call either
+        family's validator alike.
+        """
+        from repro.checkers.cal import complete_from_witness
+        from repro.core.agreement import agrees
+
+        if any(not e.is_singleton() for e in trace):
+            return CheckResult(
+                False, reason="witness contains non-singleton elements"
+            )
+        if not self.spec.accepts([e.single() for e in trace]):
+            return CheckResult(
+                False, reason="witness rejected by sequential spec"
+            )
+        target = history.project_object(self.spec.oid)
+        if not target.is_complete():
+            target = complete_from_witness(target, trace)
+        if not target.is_complete():  # pragma: no cover — defensive
+            return CheckResult(
+                False, reason="history incomplete at witness validation"
+            )
+        if not agrees(target, trace):
+            return CheckResult(
+                False, reason="history does not agree with witness (Def. 5)"
+            )
+        return CheckResult(True, witness=trace, completion=target)

@@ -5,15 +5,16 @@ The searches themselves are deterministic per input (a fuzz run is a
 pure function of its seed; an explore shard is a pure function of its
 pinned prefix), so parallelism is a pure partitioning problem:
 
-* **Fuzz campaigns** (:func:`fuzz_cal_parallel`,
-  :func:`fuzz_linearizability_parallel`) split the seed sequence into
-  contiguous chunks — one per worker — run each chunk with shrinking
-  disabled, and merge the per-chunk :class:`~repro.checkers.fuzz.FuzzReport`
-  tallies.  Failures keep their position in the original seed order, so
-  the *first* failure is identical to the sequential runner's first
-  failure regardless of worker count; it is then re-run and shrunk **in
-  the parent** through the exact sequential code path
-  (:func:`~repro.checkers.fuzz.fuzz_cal` on that single seed), which
+* **Fuzz campaigns** (one fan-out, :func:`fuzz_fanout`, which
+  :func:`fuzz_cal_parallel` and :func:`fuzz_linearizability_parallel`
+  bind to a checker family) split the seed sequence into contiguous
+  chunks — one per worker — run each chunk with shrinking disabled, and
+  merge the per-chunk :class:`~repro.checkers.fuzz.FuzzReport` tallies.
+  Failures keep their position in the original seed order, so the
+  *first* failure is identical to the sequential runner's first failure
+  regardless of worker count; it is then re-run and shrunk **in the
+  parent** through the exact sequential code path
+  (:func:`~repro.checkers.fuzz.fuzz_runs` on that single seed), which
   also re-establishes the sequential report's shrunk schedule.
 
 * **Explore campaigns** (:func:`explore_parallel`) shard the schedule
@@ -69,16 +70,10 @@ from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.checkers.caspec import CASpec
-from repro.checkers.fuzz import (
-    Faults,
-    FuzzReport,
-    fuzz_cal,
-    fuzz_linearizability,
-)
+from repro.checkers.family import CAL, LIN, CheckerFamily
+from repro.checkers.fuzz import Faults, FuzzReport, fuzz_runs
 from repro.checkers.seqspec import SequentialSpec
-from repro.checkers.verify import ViewFn
-from repro.obs.coverage import CoverageTracker
-from repro.obs.metrics import Metrics
+from repro.checkers.verify import ViewFn, _campaign_local, _fold_into_caller
 from repro.obs.provenance import ExplorationLedger
 from repro.substrate.explore import (
     ExploreBudget,
@@ -384,15 +379,22 @@ def _quarantine_report(
     return report
 
 
-def _fuzz_parallel(
-    driver: Callable[..., FuzzReport],
+def fuzz_fanout(
+    family: CheckerFamily,
     setup: SetupFn,
     spec,
-    seeds: Sequence[int],
-    workers: Optional[int],
-    deadline: Optional[float],
-    shrink: bool,
-    kwargs: dict,
+    *,
+    check_witness: bool,
+    search: bool,
+    seeds: Sequence[int] = range(50),
+    workers: Optional[int] = None,
+    deadline: Optional[float] = None,
+    max_steps: Optional[int] = 5000,
+    view: Optional[ViewFn] = None,
+    yield_bias: float = 0.0,
+    faults: Faults = None,
+    node_budget: Optional[int] = None,
+    shrink: bool = True,
     metrics=None,
     trace=None,
     coverage=None,
@@ -407,6 +409,23 @@ def _fuzz_parallel(
     corpus=None,
     provenance=None,
 ) -> FuzzReport:
+    """The forked fuzz fan-out, shared by every checker family.
+
+    Chunks ``seeds``, runs each chunk through
+    :func:`~repro.checkers.fuzz.fuzz_runs` in a worker and merges the
+    chunk reports in seed order (see :func:`fuzz_cal_parallel`).
+    """
+    # What each seed's run and check depend on — identical for every
+    # chunk and for the parent's confirm re-run.
+    run_options = dict(
+        max_steps=max_steps,
+        check_witness=check_witness,
+        search=search,
+        view=view,
+        yield_bias=yield_bias,
+        faults=faults,
+        node_budget=node_budget,
+    )
     seeds = list(seeds)
     greybox = guidance != "uniform"
     workers = default_workers() if workers is None else workers
@@ -446,19 +465,20 @@ def _fuzz_parallel(
             # a function of (corpus state, seed), and the chunk's evolved
             # corpus does not exist in the parent, so the parent's
             # confirm re-run could not reproduce the failure there.
-            return driver(
+            return fuzz_runs(
+                family,
                 setup,
                 spec,
                 seeds=chunk,
                 shrink=shrink if greybox else False,
                 deadline_at=deadline_at,
-                metrics=type(metrics)() if metrics is not None else None,
+                metrics=_campaign_local(metrics),
                 coverage=chunk_coverage,
                 dedup=dedup,
                 guidance=guidance,
                 corpus=corpus,
-                provenance=type(provenance)() if provenance is not None else None,
-                **kwargs,
+                provenance=_campaign_local(provenance),
+                **run_options,
             )
         return run_chunk
 
@@ -483,7 +503,7 @@ def _fuzz_parallel(
             live["distinct_histories"] = len(seen_histories)
         trace.emit(
             "campaign_progress",
-            driver=getattr(driver, "__name__", "fuzz"),
+            driver=family.fuzz_driver,
             attempted=finished["attempted"],
             total=total,
             chunks_done=finished["chunks"],
@@ -542,26 +562,12 @@ def _fuzz_parallel(
         # Confirm re-run gets metrics=None: the campaign stats must keep
         # covering each seed exactly once (shrink replays are excluded
         # from stats in the sequential driver for the same reason).
-        confirm = driver(
-            setup,
-            spec,
-            seeds=[first.seed],
-            shrink=True,
-            **kwargs,
+        confirm = fuzz_runs(
+            family, setup, spec, seeds=[first.seed], shrink=True, **run_options
         )
         if confirm.failures:  # deterministic, but never drop a failure
             merged.failures[0] = confirm.failures[0]
-    if metrics is not None and merged.stats is not None:
-        metrics.merge(Metrics.from_snapshot(merged.stats))
-    if coverage is not None and merged.coverage is not None:
-        # Fold worker trackers into the caller's, then re-snapshot so
-        # ``report.coverage`` reflects the caller's whole tracker — the
-        # same contract as the sequential driver.
-        coverage.merge(CoverageTracker.from_snapshot(merged.coverage))
-        merged.coverage = coverage.snapshot()
-    if provenance is not None and merged.provenance is not None:
-        provenance.merge(ExplorationLedger.from_snapshot(merged.provenance))
-        merged.provenance = provenance.snapshot()
+    _fold_into_caller(merged, metrics, coverage, provenance)
     return merged
 
 
@@ -634,37 +640,8 @@ def fuzz_cal_parallel(
     ledger equals a sequential campaign's byte for byte (the merge law
     is associative and commutative).
     """
-    return _fuzz_parallel(
-        fuzz_cal,
-        setup,
-        spec,
-        seeds,
-        workers,
-        deadline,
-        shrink,
-        dict(
-            max_steps=max_steps,
-            check_witness=check_witness,
-            search=search,
-            view=view,
-            yield_bias=yield_bias,
-            faults=faults,
-            node_budget=node_budget,
-        ),
-        metrics=metrics,
-        trace=trace,
-        coverage=coverage,
-        progress_every=progress_every,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        completed=completed,
-        dedup=dedup,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        guidance=guidance,
-        corpus=corpus,
-        provenance=provenance,
-    )
+    # The parameters, forwarded verbatim to the shared fan-out.
+    return fuzz_fanout(CAL, **locals())
 
 
 def fuzz_linearizability_parallel(
@@ -699,36 +676,7 @@ def fuzz_linearizability_parallel(
     stats and merged coverage), durability hooks (checkpoint, resume,
     dedup, supervised retry/quarantine) and guidance modes as
     :func:`fuzz_cal_parallel`."""
-    return _fuzz_parallel(
-        fuzz_linearizability,
-        setup,
-        spec,
-        seeds,
-        workers,
-        deadline,
-        shrink,
-        dict(
-            max_steps=max_steps,
-            check_witness=check_witness,
-            view=view,
-            yield_bias=yield_bias,
-            faults=faults,
-            node_budget=node_budget,
-        ),
-        metrics=metrics,
-        trace=trace,
-        coverage=coverage,
-        progress_every=progress_every,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        completed=completed,
-        dedup=dedup,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        guidance=guidance,
-        corpus=corpus,
-        provenance=provenance,
-    )
+    return fuzz_fanout(LIN, search=True, **locals())
 
 
 # ----------------------------------------------------------------------
@@ -836,9 +784,7 @@ def explore_parallel(
             # Private per-shard ledger; its snapshot crosses the pipe
             # (the ledger itself holds only plain dicts, but snapshots
             # are the merge currency everywhere else too).
-            shard_ledger = (
-                type(provenance)() if provenance is not None else None
-            )
+            shard_ledger = _campaign_local(provenance)
             results = [
                 _sanitize(result)
                 for result in explore_all(

@@ -12,6 +12,11 @@ Robustness: exploration takes an optional
 falling back from exhaustive search to linear witness validation where it
 can — and the report's verdict is ``UNKNOWN`` instead of the process
 hanging on a factorial schedule or search space.
+
+There is one exploration loop, :func:`verify_runs`, parameterised by a
+:class:`~repro.checkers.family.CheckerFamily`; :func:`verify_cal` and
+:func:`verify_linearizability` are entry points binding the CAL and the
+linearizability family.
 """
 
 from __future__ import annotations
@@ -20,14 +25,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.checkers.cal import CALChecker, complete_from_witness
 from repro.checkers.caspec import CASpec
-from repro.checkers.linearizability import LinearizabilityChecker
+from repro.checkers.family import CAL, LIN, CheckerFamily
 from repro.checkers.result import Verdict
 from repro.checkers.seqspec import SequentialSpec
 from repro.core.catrace import CATrace
 from repro.core.history import History
+from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics, observe_run
+from repro.obs.provenance import ExplorationLedger
 from repro.obs.report import CounterexampleReport
 from repro.substrate.explore import (
     ExploreBudget,
@@ -106,21 +112,17 @@ class VerificationReport:
         unsharded sweep produces.  ``budget`` objects are not merged —
         sharded durable campaigns run each shard to completion instead.
         """
-        from repro.checkers.fuzz import (
-            _merge_coverage,
-            _merge_provenance,
-            _merge_stats,
-        )
-
         self.runs += other.runs
         self.incomplete += other.incomplete
         self.nodes += other.nodes
         self.unknown += other.unknown
         self.failures.extend(other.failures)
-        self.stats = _merge_stats(self.stats, other.stats)
-        self.coverage = _merge_coverage(self.coverage, other.coverage)
-        self.provenance = _merge_provenance(
-            self.provenance, getattr(other, "provenance", None)
+        self.stats = _merge_snapshot(Metrics, self.stats, other.stats)
+        self.coverage = _merge_snapshot(
+            CoverageTracker, self.coverage, other.coverage
+        )
+        self.provenance = _merge_snapshot(
+            ExplorationLedger, self.provenance, getattr(other, "provenance", None)
         )
 
     def __repr__(self) -> str:
@@ -138,6 +140,70 @@ class VerificationReport:
 
 
 ViewFn = Callable[[CATrace], CATrace]
+
+
+# ----------------------------------------------------------------------
+# Observer plumbing shared by the verify, fuzz and fan-out loops
+# ----------------------------------------------------------------------
+def _merge_snapshot(kind, mine, theirs):
+    """Merge two ``kind.snapshot()`` values (either may be None).
+
+    ``kind`` is an observer class with the snapshot merge law —
+    :class:`~repro.obs.metrics.Metrics`,
+    :class:`~repro.obs.coverage.CoverageTracker`,
+    :class:`~repro.search.corpus.ScheduleCorpus` or
+    :class:`~repro.obs.provenance.ExplorationLedger`.
+    """
+    if theirs is None:
+        return mine
+    merged = kind.from_snapshot(theirs)
+    if mine is not None:
+        merged = kind.from_snapshot(mine).merge(merged)
+    return merged.snapshot()
+
+
+def _campaign_local(observer):
+    """A fresh, empty observer of the caller's class (None stays None).
+
+    A campaign records into its own instance, exposes the snapshot on
+    its report and merges into the caller's observer on the way out.
+    Instantiating ``type(observer)`` (not the base class) keeps
+    profiling registries (:class:`~repro.obs.profile.SearchProfiler`)
+    working end-to-end: the instance the checkers see carries the same
+    hooks as the caller's.
+    """
+    return type(observer)() if observer is not None else None
+
+
+def _close_observers(report, campaign, metrics, coverage, audit, provenance):
+    """Snapshot a finished campaign's observers onto ``report`` and merge
+    the campaign-local ``campaign``/``audit`` into the caller's."""
+    if campaign is not None:
+        report.stats = campaign.snapshot()
+        metrics.merge(campaign)
+    if coverage is not None:
+        report.coverage = coverage.snapshot()
+    if audit is not None:
+        report.provenance = audit.snapshot()
+        provenance.merge(audit)
+
+
+def _fold_into_caller(merged, metrics, coverage, provenance):
+    """Fold a merged multi-chunk report's observer snapshots into the
+    caller's observers.
+
+    ``merged.coverage``/``merged.provenance`` are then re-snapshotted
+    from the caller's whole tracker/ledger — the contract of the
+    sequential loops — while ``merged.stats`` stays the campaign's own.
+    """
+    if metrics is not None and merged.stats is not None:
+        metrics.merge(Metrics.from_snapshot(merged.stats))
+    if coverage is not None and merged.coverage is not None:
+        coverage.merge(CoverageTracker.from_snapshot(merged.coverage))
+        merged.coverage = coverage.snapshot()
+    if provenance is not None and merged.provenance is not None:
+        provenance.merge(ExplorationLedger.from_snapshot(merged.provenance))
+        merged.provenance = provenance.snapshot()
 
 
 def _record_failure(
@@ -158,6 +224,143 @@ def _record_failure(
         max_steps=max_steps,
     )
     report.failures.append(failure)
+
+
+def verify_runs(
+    family: CheckerFamily,
+    setup: SetupFn,
+    spec,
+    *,
+    check_witness: bool,
+    search: bool,
+    max_steps: Optional[int] = None,
+    view: Optional[ViewFn] = None,
+    limit: Optional[int] = None,
+    preemption_bound: Optional[int] = None,
+    budget: Optional[ExploreBudget] = None,
+    node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+    metrics=None,
+    trace=None,
+    coverage=None,
+    progress_every: int = 0,
+    pin_prefix: Sequence[int] = (),
+    reduction: str = "none",
+    sleep_seed=None,
+    provenance=None,
+) -> VerificationReport:
+    """The exhaustive-verification loop, shared by every checker family.
+
+    Explores every run of ``setup`` and checks each completed one with
+    ``family.checker(spec)``: by witness validation, by search, or both
+    (see :func:`verify_cal`).  A budget-cut search counts the run
+    ``unknown`` and degrades by ``family``'s fallback rule.
+    """
+    validate_exploration(reduction, preemption_bound=preemption_bound)
+    checker = family.checker(spec)
+    report = VerificationReport(budget=budget)
+    campaign = _campaign_local(metrics)
+    audit = _campaign_local(provenance)
+    started = time.monotonic()
+    attempted = 0
+    if budget is not None:
+        budget.start()
+    if trace is not None:
+        trace.emit("verify_begin", driver=family.verify_driver, oid=spec.oid)
+    for run in explore_all(
+        setup,
+        max_steps=max_steps,
+        limit=limit,
+        preemption_bound=preemption_bound,
+        budget=budget,
+        pin_prefix=pin_prefix,
+        reduction=reduction,
+        sleep_seed=sleep_seed,
+        provenance=audit,
+    ):
+        if campaign is not None:
+            observe_run(campaign, run)
+        position, attempted = attempted, attempted + 1
+        if coverage is not None:
+            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
+        if trace is not None and progress_every and attempted % progress_every == 0:
+            live = {}
+            if coverage is not None:
+                live["distinct_histories"] = len(coverage.histories)
+            trace.emit(
+                "campaign_progress",
+                driver=family.verify_driver,
+                attempted=attempted,
+                runs=report.runs + (1 if run.completed else 0),
+                failures=len(report.failures),
+                unknown=report.unknown,
+                elapsed_s=time.monotonic() - started,
+                **live,
+            )
+        if not run.completed:
+            report.incomplete += 1
+            continue
+        report.runs += 1
+        history = run.history
+        recorded = view(run.trace) if view is not None else run.trace
+        witness = recorded.project_object(spec.oid)
+        if coverage is not None:
+            coverage.observe_spec_trace(spec, witness)
+        witness_checked = False
+        if check_witness:
+            result = checker.check_witness(history, witness, metrics=campaign)
+            report.nodes += result.nodes
+            witness_checked = True
+            if not result.ok:
+                _record_failure(
+                    report, run, witness, result.reason, spec.oid, max_steps
+                )
+                continue
+        if search:
+            result = checker.check(
+                history,
+                node_budget=node_budget,
+                deadline=deadline,
+                metrics=campaign,
+                trace=trace,
+            )
+            report.nodes += result.nodes
+            if result.unknown:
+                report.unknown += 1
+                if not witness_checked and (
+                    view is not None or not family.fallback_needs_view
+                ):
+                    # Degrade: the linear witness check still decides
+                    # this run even when search is over budget.
+                    fallback = checker.check_witness(
+                        history, witness, metrics=campaign
+                    )
+                    report.nodes += fallback.nodes
+                    if not fallback.ok:
+                        _record_failure(
+                            report,
+                            run,
+                            witness,
+                            fallback.reason,
+                            spec.oid,
+                            max_steps,
+                        )
+                continue
+            if not result.ok:
+                _record_failure(
+                    report, run, run.trace, result.reason, spec.oid, max_steps
+                )
+    _close_observers(report, campaign, metrics, coverage, audit, provenance)
+    if trace is not None:
+        trace.emit(
+            "verify_end",
+            driver=family.verify_driver,
+            verdict=report.verdict.value,
+            runs=report.runs,
+            failures=len(report.failures),
+            unknown=report.unknown,
+        )
+    return report
 
 
 def verify_cal(
@@ -223,118 +426,8 @@ def verify_cal(
     and merges into the caller's ledger, mirroring ``metrics``.
     Observation-only: the explored schedules are identical either way.
     """
-    from repro.checkers.fuzz import _campaign_ledger
-
-    validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = CALChecker(spec)
-    report = VerificationReport(budget=budget)
-    campaign = type(metrics)() if metrics is not None else None
-    audit = _campaign_ledger(provenance)
-    started = time.monotonic()
-    attempted = 0
-    if budget is not None:
-        budget.start()
-    if trace is not None:
-        trace.emit("verify_begin", driver="verify_cal", oid=spec.oid)
-    for run in explore_all(
-        setup,
-        max_steps=max_steps,
-        limit=limit,
-        preemption_bound=preemption_bound,
-        budget=budget,
-        pin_prefix=pin_prefix,
-        reduction=reduction,
-        sleep_seed=sleep_seed,
-        provenance=audit,
-    ):
-        if campaign is not None:
-            observe_run(campaign, run)
-        position, attempted = attempted, attempted + 1
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-        if trace is not None and progress_every and attempted % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            trace.emit(
-                "campaign_progress",
-                driver="verify_cal",
-                attempted=attempted,
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            continue
-        report.runs += 1
-        history = run.history
-        recorded = view(run.trace) if view is not None else run.trace
-        witness = recorded.project_object(spec.oid)
-        if coverage is not None:
-            coverage.observe_spec_trace(spec, witness)
-        witness_checked = False
-        if check_witness:
-            result = checker.check_witness(history, witness, metrics=campaign)
-            report.nodes += result.nodes
-            witness_checked = True
-            if not result.ok:
-                _record_failure(
-                    report, run, witness, result.reason, spec.oid, max_steps
-                )
-                continue
-        if search:
-            result = checker.check(
-                history,
-                node_budget=node_budget,
-                deadline=deadline,
-                metrics=campaign,
-                trace=trace,
-            )
-            report.nodes += result.nodes
-            if result.unknown:
-                report.unknown += 1
-                if not witness_checked:
-                    # Degrade: the linear witness check still decides
-                    # this run even when search is over budget.
-                    fallback = checker.check_witness(
-                        history, witness, metrics=campaign
-                    )
-                    report.nodes += fallback.nodes
-                    if not fallback.ok:
-                        _record_failure(
-                            report,
-                            run,
-                            witness,
-                            fallback.reason,
-                            spec.oid,
-                            max_steps,
-                        )
-                continue
-            if not result.ok:
-                _record_failure(
-                    report, run, run.trace, result.reason, spec.oid, max_steps
-                )
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "verify_end",
-            driver="verify_cal",
-            verdict=report.verdict.value,
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-        )
-    return report
+    # The parameters, forwarded verbatim to the shared loop.
+    return verify_runs(CAL, **locals())
 
 
 def verify_linearizability(
@@ -361,141 +454,16 @@ def verify_linearizability(
 
     With ``check_witness``, the recorded trace (viewed through ``view``)
     must consist of singleton elements forming a legal linearization that
-    the history agrees with — the modular elimination-stack proof (E5)
-    uses exactly this with ``view = F_ES``.
+    the history agrees with
+    (:meth:`~repro.checkers.linearizability.LinearizabilityChecker.check_witness`)
+    — the modular elimination-stack proof (E5) uses exactly this with
+    ``view = F_ES``.  Every run is also searched.
 
-    Budgets degrade exactly as in :func:`verify_cal`: a budget-cut search
-    falls back to witness validation (when a view is available) and the
-    run counts as ``unknown``.  ``metrics``/``trace``/``coverage``/
-    ``progress_every``/``pin_prefix``/``reduction``/``sleep_seed``/
-    ``provenance`` behave as in :func:`verify_cal`.
+    Budgets degrade as in :func:`verify_cal`, except that a budget-cut
+    search falls back to witness validation only when a view is
+    available; the run counts as ``unknown`` either way.
+    ``metrics``/``trace``/``coverage``/``progress_every``/``pin_prefix``/
+    ``reduction``/``sleep_seed``/``provenance`` behave as in
+    :func:`verify_cal`.
     """
-    from repro.checkers.fuzz import _campaign_ledger
-
-    validate_exploration(reduction, preemption_bound=preemption_bound)
-    checker = LinearizabilityChecker(spec)
-    report = VerificationReport(budget=budget)
-    campaign = type(metrics)() if metrics is not None else None
-    audit = _campaign_ledger(provenance)
-    started = time.monotonic()
-    attempted = 0
-    if budget is not None:
-        budget.start()
-    if trace is not None:
-        trace.emit("verify_begin", driver="verify_linearizability", oid=spec.oid)
-    for run in explore_all(
-        setup,
-        max_steps=max_steps,
-        limit=limit,
-        preemption_bound=preemption_bound,
-        budget=budget,
-        pin_prefix=pin_prefix,
-        reduction=reduction,
-        sleep_seed=sleep_seed,
-        provenance=audit,
-    ):
-        if campaign is not None:
-            observe_run(campaign, run)
-        position, attempted = attempted, attempted + 1
-        if coverage is not None:
-            coverage.observe_run(position, run.schedule, run.history, oid=spec.oid)
-        if trace is not None and progress_every and attempted % progress_every == 0:
-            live = {}
-            if coverage is not None:
-                live["distinct_histories"] = len(coverage.histories)
-            trace.emit(
-                "campaign_progress",
-                driver="verify_linearizability",
-                attempted=attempted,
-                runs=report.runs + (1 if run.completed else 0),
-                failures=len(report.failures),
-                unknown=report.unknown,
-                elapsed_s=time.monotonic() - started,
-                **live,
-            )
-        if not run.completed:
-            report.incomplete += 1
-            continue
-        report.runs += 1
-        history = run.history
-        recorded = view(run.trace) if view is not None else run.trace
-        witness = recorded.project_object(spec.oid)
-        if coverage is not None:
-            coverage.observe_spec_trace(spec, witness)
-        witness_checked = False
-        if check_witness:
-            problem = _validate_singleton_witness(checker, history, witness)
-            witness_checked = True
-            if problem is not None:
-                _record_failure(
-                    report, run, witness, problem, spec.oid, max_steps
-                )
-                continue
-        result = checker.check(
-            history,
-            node_budget=node_budget,
-            deadline=deadline,
-            metrics=campaign,
-            trace=trace,
-        )
-        report.nodes += result.nodes
-        if result.unknown:
-            report.unknown += 1
-            if not witness_checked and view is not None:
-                problem = _validate_singleton_witness(
-                    checker, history, witness
-                )
-                if problem is not None:
-                    _record_failure(
-                        report, run, witness, problem, spec.oid, max_steps
-                    )
-            continue
-        if not result.ok:
-            _record_failure(
-                report, run, run.trace, result.reason, spec.oid, max_steps
-            )
-    if campaign is not None:
-        report.stats = campaign.snapshot()
-        metrics.merge(campaign)
-    if coverage is not None:
-        report.coverage = coverage.snapshot()
-    if audit is not None:
-        report.provenance = audit.snapshot()
-        provenance.merge(audit)
-    if trace is not None:
-        trace.emit(
-            "verify_end",
-            driver="verify_linearizability",
-            verdict=report.verdict.value,
-            runs=report.runs,
-            failures=len(report.failures),
-            unknown=report.unknown,
-        )
-    return report
-
-
-def _validate_singleton_witness(
-    checker: LinearizabilityChecker,
-    history: History,
-    witness: CATrace,
-) -> Optional[str]:
-    """Check a recorded singleton trace is a valid linearization witness.
-
-    Pending invocations (crashed threads) are resolved against the
-    witness first, exactly as in CAL witness validation.
-    """
-    from repro.core.agreement import agrees
-
-    if any(not e.is_singleton() for e in witness):
-        return "witness contains non-singleton elements"
-    ops = [e.single() for e in witness]
-    if not checker.spec.accepts(ops):
-        return "witness rejected by sequential spec"
-    target = history.project_object(checker.spec.oid)
-    if not target.is_complete():
-        target = complete_from_witness(target, witness)
-    if not target.is_complete():  # pragma: no cover — defensive
-        return "history incomplete at witness validation"
-    if not agrees(target, witness):
-        return "history does not agree with witness (Def. 5)"
-    return None
+    return verify_runs(LIN, search=True, **locals())

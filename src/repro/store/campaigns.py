@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.provenance import ExplorationLedger
 from repro.obs.tracing import span_path
@@ -153,15 +153,15 @@ def durable_fuzz(
 
     ``config`` must pin everything that shapes the chunking and the
     per-seed work: at least ``seeds``, ``checkpoint_every`` and
-    ``max_steps``.  ``driver_kwargs`` carries checker-family extras
-    (``search``, ``check_witness``, …) that the CLI re-derives from the
-    workload registry on resume.
+    ``max_steps``.  ``checker`` names the checker family (a key of
+    :data:`~repro.checkers.family.FAMILIES`); ``driver_kwargs`` carries
+    its per-run options (``search``, ``check_witness``, ``view``, …),
+    which the CLI re-derives from the workload registry on resume —
+    they are never part of the stored config.
     """
-    from repro.checkers.parallel import (
-        fuzz_cal_parallel,
-        fuzz_linearizability_parallel,
-    )
+    from repro.checkers.family import FAMILIES
 
+    family = FAMILIES[checker]
     completed = _begin(
         store, campaign_id, "fuzz", workload, checker, config, trace=trace
     )
@@ -187,12 +187,11 @@ def durable_fuzz(
     writer = CheckpointWriter(
         store, campaign_id, trace=trace, abort_after=abort_after
     )
-    driver = fuzz_cal_parallel if checker == "cal" else fuzz_linearizability_parallel
     try:
         with _span(
             trace, "campaign", span_path(("campaign", campaign_id)), kind="fuzz"
         ):
-            report = driver(
+            report = family.fuzz_parallel(
                 setup,
                 spec,
                 seeds=range(config["seeds"]),
@@ -263,6 +262,7 @@ def durable_explore(
         _observe_explore,
         _sanitize,
     )
+    from repro.checkers.verify import _campaign_local
     from repro.substrate.explore import (
         explore_all,
         shard_sleep_seeds,
@@ -300,9 +300,7 @@ def durable_explore(
                 # is checkpointed beside the shard's results, so a
                 # resumed campaign's merged ledger equals an
                 # uninterrupted one's — the coverage discipline.
-                shard_ledger = (
-                    type(provenance)() if provenance is not None else None
-                )
+                shard_ledger = _campaign_local(provenance)
                 with _span(
                     trace,
                     "chunk",
@@ -383,18 +381,19 @@ def durable_verify(
     boundaries (:func:`~repro.substrate.explore.shard_sleep_seeds`), so
     the merged reduced sweep checks the same runs as an unsharded one.
     """
+    from repro.checkers.family import FAMILIES
     from repro.checkers.parallel import _first_arity
     from repro.checkers.verify import (
         VerificationReport,
-        verify_cal,
-        verify_linearizability,
+        _campaign_local,
+        _fold_into_caller,
     )
-    from repro.obs.metrics import Metrics
     from repro.substrate.explore import (
         shard_sleep_seeds,
         validate_exploration,
     )
 
+    family = FAMILIES[checker]
     reduction = (driver_kwargs or {}).get("reduction", "none")
     validate_exploration(
         reduction,
@@ -413,9 +412,6 @@ def durable_verify(
     )
     writer = CheckpointWriter(
         store, campaign_id, trace=trace, abort_after=abort_after
-    )
-    driver: Callable[..., Any] = (
-        verify_cal if checker == "cal" else verify_linearizability
     )
     shards: Dict[int, Any] = dict(completed)
     attempted = 0
@@ -441,19 +437,17 @@ def durable_verify(
                     span_path(("campaign", campaign_id), ("chunk", index)),
                     chunk=index,
                 ):
-                    shard = driver(
+                    shard = family.verify(
                         setup,
                         spec,
                         max_steps=max_steps,
-                        metrics=type(metrics)() if metrics is not None else None,
+                        metrics=_campaign_local(metrics),
                         trace=trace,
                         coverage=shard_coverage,
                         progress_every=progress_every,
                         pin_prefix=pin,
                         sleep_seed=None if seeds is None else seeds[index],
-                        provenance=(
-                            type(provenance)() if provenance is not None else None
-                        ),
+                        provenance=_campaign_local(provenance),
                         **(driver_kwargs or {}),
                     )
                 writer.chunk_done(index, index, 1, shard)
@@ -465,18 +459,9 @@ def durable_verify(
     merged = VerificationReport()
     for index in range(len(pins)):
         merged.merge(shards[index])
-    if metrics is not None and merged.stats is not None:
-        metrics.merge(Metrics.from_snapshot(merged.stats))
-    if coverage is not None and merged.coverage is not None:
-        from repro.obs.coverage import CoverageTracker
-
-        coverage.merge(CoverageTracker.from_snapshot(merged.coverage))
-        merged.coverage = coverage.snapshot()
-    if provenance is not None and merged.provenance is not None:
-        # Restored shard reports carry their ledger snapshots (they ride
-        # inside the pickled report), so resume needs no special casing.
-        provenance.merge(ExplorationLedger.from_snapshot(merged.provenance))
-        merged.provenance = provenance.snapshot()
+    # Restored shard reports carry their ledger snapshots (they ride
+    # inside the pickled report), so resume needs no special casing.
+    _fold_into_caller(merged, metrics, coverage, provenance)
     store.set_status(campaign_id, STATUS_COMPLETE)
     _persist_knowledge(
         store, workload, checker, probe_width(setup), None, None, coverage

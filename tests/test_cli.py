@@ -281,8 +281,20 @@ class TestProgressRenderer:
         assert "50/100" in line
         assert "25 runs/s" in line
         assert "eta" in line
+        assert "ok=48" in line  # runs that did not fail, not all runs
         assert "fail=1" in line
         assert "hist=12" in line
+
+    def test_all_failed_runs_show_no_ok(self):
+        stream = StringIO()
+        renderer = ProgressRenderer(stream=stream)
+        renderer.emit(
+            "campaign_progress", attempted=200, elapsed_s=1.0, runs=54,
+            failures=54,
+        )
+        line = stream.getvalue()
+        assert "fail=54" in line
+        assert "ok=" not in line
 
     def test_other_events_pass_silently(self):
         stream = StringIO()
